@@ -191,14 +191,13 @@ type FitResult struct {
 }
 
 // fitScratch bundles the per-goroutine buffers of one model fit: the GLM
-// workspace plus the response, truncation and column-mask vectors. Pooled
-// so the stepwise search and the experiment fan-outs stop allocating them
-// per fit.
+// workspace, the table constants of a one-off fit and the column masks.
+// Pooled so the stepwise search and the experiment fan-outs stop
+// allocating them per fit.
 type fitScratch struct {
-	ws     stats.Workspace
-	y      []float64
-	limits []float64
-	masks  []int
+	ws    stats.Workspace
+	tc    tableConsts
+	masks []int
 }
 
 var fitPool = sync.Pool{New: func() any {
@@ -217,11 +216,7 @@ func FitModel(tb *Table, m Model, limit float64, scale float64) (*FitResult, err
 
 // fitModelInit is FitModel with warm-start coefficients in design order;
 // the stepwise search passes the parent model's coefficients with a zero
-// inserted for the new term. Fits route through the lattice (zeta
-// transform) kernel — the CR design is always a subset indicator over the
-// capture-history lattice — falling back to the dense row-major kernel for
-// the rare shape the lattice kernel rejects (e.g. more columns than
-// observable cells at tiny t).
+// inserted for the new term.
 func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float64) (*FitResult, error) {
 	telemetry.Active().PoolGet()
 	sc := fitPool.Get().(*fitScratch)
@@ -235,72 +230,101 @@ func fitModelInit(tb *Table, m Model, limit float64, scale float64, init []float
 // of cycling the shared pool per replicate. The scratch is fully
 // overwritten on every call, so reuse cannot change any fit's numbers.
 func fitModelScratch(tb *Table, m Model, limit float64, scale float64, init []float64, sc *fitScratch) (*FitResult, error) {
+	sc.tc.fill(tb, limit, scale)
+	return sc.tc.fit(m, init, sc)
+}
+
+// tableConsts are the design-independent inputs of a fit of one table at
+// one divisor: the scaled response y_s = Counts[s]/scale (y_0 = 0), the
+// cells' truncation bound ⌊limit/scale⌋ (nil for plain Poisson) and the
+// likelihood's data term Σ ln y_s!. The stepwise search fills them once
+// per table and every candidate fit of every round reads them
+// concurrently; nothing writes them between fills.
+type tableConsts struct {
+	tb       *Table
+	scale    float64
+	y        []float64
+	limits   []float64 // nil, or limBuf[:len(y)]
+	limBuf   []float64
+	logFacts float64
+}
+
+// fill computes tb's constants at (limit, scale) into tc, reusing its
+// buffers.
+func (tc *tableConsts) fill(tb *Table, limit, scale float64) {
 	if scale < 1 {
 		scale = 1
 	}
-	sc.masks = m.appendColumnMasks(sc.masks)
-	ld := stats.Lattice{T: m.T, Masks: sc.masks}
-	if ld.Validate() != nil {
-		telemetry.Active().DenseFallback()
-		return fitModelDense(tb, m, limit, scale, init, sc)
+	n := 1 << uint(tb.T)
+	tc.tb, tc.scale = tb, scale
+	if cap(tc.y) < n {
+		tc.y = make([]float64, n)
 	}
-	n := 1 << uint(m.T)
-	if cap(sc.y) < n {
-		sc.y = make([]float64, n)
-	}
-	y := sc.y[:n]
-	y[0] = 0
+	tc.y = tc.y[:n]
+	tc.y[0] = 0
 	for s := 1; s < n; s++ {
-		y[s] = float64(tb.Counts[s]) / scale
+		tc.y[s] = float64(tb.Counts[s]) / scale
 	}
-	var limits []float64
+	tc.limits = nil
 	if !math.IsInf(limit, 1) {
-		if cap(sc.limits) < n {
-			sc.limits = make([]float64, n)
+		if cap(tc.limBuf) < n {
+			tc.limBuf = make([]float64, n)
 		}
-		limits = sc.limits[:n]
-		l := math.Floor(limit / scale)
-		for i := range limits {
-			limits[i] = l
-		}
+		tc.limits = tc.limBuf[:n]
+		fillLimits(tc.limits, limit, scale)
 	}
-	res, err := ld.Fit(y, limits, init, &sc.ws)
-	if err != nil {
-		return nil, err
-	}
-	return fitResultFrom(tb, m, res, scale), nil
+	tc.logFacts = stats.Lattice{T: tb.T}.LogFactSum(tc.y)
 }
 
-// fitModelDense is the dense-kernel fallback path: it materialises the
-// design matrix and runs the row-major IRLS kernel. Kept for designs the
-// lattice kernel rejects and as the reference implementation the
-// differential tests compare against.
-func fitModelDense(tb *Table, m Model, limit float64, scale float64, init []float64, sc *fitScratch) (*FitResult, error) {
-	x := m.design()
-	n := x.Rows
-	if cap(sc.y) < n {
-		sc.y = make([]float64, n)
+// fillLimits sets every cell's truncation bound to ⌊limit/scale⌋.
+func fillLimits(limits []float64, limit, scale float64) {
+	l := math.Floor(limit / scale)
+	for i := range limits {
+		limits[i] = l
 	}
-	y := sc.y[:n]
-	for s := 1; s <= n; s++ {
-		y[s-1] = float64(tb.Counts[s]) / scale
+}
+
+// fitPooled is fit through a scratch from the shared pool.
+func (tc *tableConsts) fitPooled(m Model, init []float64) (*FitResult, error) {
+	telemetry.Active().PoolGet()
+	sc := fitPool.Get().(*fitScratch)
+	defer fitPool.Put(sc)
+	return tc.fit(m, init, sc)
+}
+
+// fit fits model m to the constants through sc's workspace. Fits route
+// through the lattice (zeta transform) kernel — the CR design is always a
+// subset indicator over the capture-history lattice — falling back to the
+// dense row-major kernel for the rare shape the lattice kernel rejects
+// (e.g. more columns than observable cells at tiny t).
+func (tc *tableConsts) fit(m Model, init []float64, sc *fitScratch) (*FitResult, error) {
+	sc.masks = m.appendColumnMasks(sc.masks)
+	ld := stats.Lattice{T: m.T, Masks: sc.masks}
+	var res *stats.GLMResult
+	var err error
+	if ld.Validate() == nil {
+		res, err = ld.FitConst(tc.y, tc.limits, tc.logFacts, init, &sc.ws)
+	} else {
+		telemetry.Active().DenseFallback()
+		res, err = tc.fitDense(m, init, &sc.ws)
 	}
-	var limits []float64
-	if !math.IsInf(limit, 1) {
-		if cap(sc.limits) < n {
-			sc.limits = make([]float64, n)
-		}
-		limits = sc.limits[:n]
-		l := math.Floor(limit / scale)
-		for i := range limits {
-			limits[i] = l
-		}
-	}
-	res, err := stats.FitPoissonGLMFlat(x, y, limits, init, &sc.ws)
 	if err != nil {
 		return nil, err
 	}
-	return fitResultFrom(tb, m, res, scale), nil
+	return fitResultFrom(tc.tb, m, res, tc.scale), nil
+}
+
+// fitDense is the dense-kernel fallback: it materialises the design
+// matrix, whose rows are the observable cells 1..2^t−1, and runs the
+// row-major IRLS kernel on the same response and limits. Kept for
+// designs the lattice kernel rejects and as the reference implementation
+// the differential tests compare against.
+func (tc *tableConsts) fitDense(m Model, init []float64, ws *stats.Workspace) (*stats.GLMResult, error) {
+	var limits []float64
+	if tc.limits != nil {
+		limits = tc.limits[1:]
+	}
+	return stats.FitPoissonGLMFlat(m.design(), tc.y[1:], limits, init, ws)
 }
 
 // fitResultFrom wraps a kernel result into a FitResult.

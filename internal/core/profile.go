@@ -66,10 +66,7 @@ func newProfiler(tb *Table, m Model, limit float64, scale float64) *profiler {
 	}
 	if !math.IsInf(limit, 1) {
 		pr.limits = make([]float64, n)
-		l := math.Floor(limit / scale)
-		for i := range pr.limits {
-			pr.limits[i] = l
-		}
+		fillLimits(pr.limits, limit, scale)
 	}
 	return pr
 }

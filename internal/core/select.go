@@ -119,8 +119,10 @@ func SelectModelCtx(ctx context.Context, tb *Table, opt SelectionOptions) (Model
 	rec := telemetry.Active()
 	defer rec.SelectionDone()
 	d := opt.Divisor.divisor(tb)
+	var tc tableConsts
+	tc.fill(tb, opt.Limit, d)
 	cur := IndependenceModel(t)
-	curFit, err := fitModelInit(tb, cur, opt.Limit, d, nil)
+	curFit, err := tc.fitPooled(cur, nil)
 	if err != nil {
 		return cur, 0, err
 	}
@@ -161,7 +163,7 @@ func SelectModelCtx(ctx context.Context, tb *Table, opt SelectionOptions) (Model
 			fits[i] = nil
 			h := cands[i]
 			cand := cur.With(h)
-			fit, err := fitModelInit(tb, cand, opt.Limit, d, warmStart(cur, cand, h, warm))
+			fit, err := tc.fitPooled(cand, warmStart(cur, cand, h, warm))
 			if err != nil {
 				return // singular candidate: skip
 			}

@@ -12,7 +12,7 @@ import "math/bits"
 // the per-source 256-bit bitmaps are combined 64 bits at a time. Addresses
 // seen by a single source — the overwhelmingly common case — are counted
 // in bulk with one popcount per source per word; only addresses covered by
-// two or more sources take the per-bit mask assembly.
+// two or more sources take the mask scatter.
 func CaptureHistogram(sets []*Set) []int64 {
 	t := len(sets)
 	if t == 0 {
@@ -22,8 +22,10 @@ func CaptureHistogram(sets []*Set) []int64 {
 		panic("ipset: CaptureHistogram supports at most 16 sources")
 	}
 	counts := make([]int64, 1<<uint(t))
-	for _, pages := range mergePages(sets) {
-		foldPage(counts, &pages, t)
+	var touched []int
+	ps := mergePages(sets)
+	for k := range ps.keys {
+		touched = foldPage(counts, ps.slot(k), touched[:0])
 	}
 	return counts
 }
@@ -49,7 +51,9 @@ func CaptureHistogramsBy(sets []*Set, ngroups int, group func(key24 uint32) int)
 	if t > 16 {
 		panic("ipset: CaptureHistogramsBy supports at most 16 sources")
 	}
-	for idx, pages := range mergePages(sets) {
+	var touched []int
+	ps := mergePages(sets)
+	for k, idx := range ps.keys {
 		g := group(idx)
 		if g < 0 {
 			continue
@@ -59,7 +63,7 @@ func CaptureHistogramsBy(sets []*Set, ngroups int, group func(key24 uint32) int)
 			counts = make([]int64, 1<<uint(t))
 			out[g] = counts
 		}
-		foldPage(counts, &pages, t)
+		touched = foldPage(counts, ps.slot(k), touched[:0])
 	}
 	return out
 }
@@ -94,7 +98,8 @@ func CaptureHistogramsMulti(sets []*Set, groupings []Grouping) [][][]int64 {
 	scratch := make([]int64, 1<<uint(t))
 	touched := make([]int, 0, 64)
 	targets := make([][]int64, len(groupings))
-	for idx, pages := range mergePages(sets) {
+	ps := mergePages(sets)
+	for k, idx := range ps.keys {
 		keep := false
 		for gi := range groupings {
 			g := groupings[gi].Group(idx)
@@ -113,7 +118,7 @@ func CaptureHistogramsMulti(sets []*Set, groupings []Grouping) [][][]int64 {
 		if !keep {
 			continue
 		}
-		touched = foldPageTouched(scratch, &pages, t, touched[:0])
+		touched = foldPage(scratch, ps.slot(k), touched[:0])
 		for _, c := range touched {
 			v := scratch[c]
 			scratch[c] = 0
@@ -127,103 +132,101 @@ func CaptureHistogramsMulti(sets []*Set, groupings []Grouping) [][][]int64 {
 	return out
 }
 
-// mergePages joins the per-set page maps into one map of parallel page
-// slots: one insertion per (set, occupied page) instead of t lookups per
-// page of the union.
-func mergePages(sets []*Set) map[uint32][16]*page {
-	merged := make(map[uint32][16]*page)
-	for i, s := range sets {
-		for idx, p := range s.pages {
-			m := merged[idx]
-			m[i] = p
-			merged[idx] = m
-		}
-	}
-	return merged
+// mergedPages is the union of t sets' occupied /24 pages laid out as flat
+// slots: slot k covers /24 keys[k] and owns pages[k*t : k*t+t], source
+// i's page of that /24 at offset i (nil where the source lacks it).
+type mergedPages struct {
+	t     int
+	keys  []uint32
+	pages []*page
 }
 
-// foldPageTouched is foldPage over a zeroed scratch histogram, additionally
-// returning the cells it incremented (each listed once). Callers zero the
-// listed cells again after scattering, keeping the scratch reusable.
-func foldPageTouched(counts []int64, pages *[16]*page, t int, touched []int) []int {
+// slot returns the t source pages of slot k.
+func (mp *mergedPages) slot(k int) []*page {
+	return mp.pages[k*mp.t : k*mp.t+mp.t : k*mp.t+mp.t]
+}
+
+// mergePages joins the per-set page maps into flat slots: one insertion
+// per (set, occupied page), through a key→slot index whose values hold no
+// pointers, pre-sized to the largest set's page count. Slot order is
+// first-seen order; every fold is an integer sum, so it cannot change a
+// histogram.
+func mergePages(sets []*Set) mergedPages {
+	t := len(sets)
+	most := 0
+	for _, s := range sets {
+		if len(s.pages) > most {
+			most = len(s.pages)
+		}
+	}
+	var empty [16]*page
+	mp := mergedPages{t: t, keys: make([]uint32, 0, most), pages: make([]*page, 0, most*t)}
+	slots := make(map[uint32]int32, most)
+	for i, s := range sets {
+		for idx, p := range s.pages {
+			k, ok := slots[idx]
+			if !ok {
+				k = int32(len(mp.keys))
+				slots[idx] = k
+				mp.keys = append(mp.keys, idx)
+				mp.pages = append(mp.pages, empty[:t]...)
+			}
+			mp.pages[int(k)*t+i] = p
+		}
+	}
+	return mp
+}
+
+// foldPage accumulates one merged /24 page into a capture histogram and
+// returns touched extended by every cell the fold moved off zero. The
+// grouped fold folds into a zeroed scratch and scatters just those cells
+// (zeroing them again after); the other folds pass touched[:0] and ignore
+// the result.
+func foldPage(counts []int64, pages []*page, touched []int) []int {
+	var wds [16]uint64
+	var masks [64]uint16
 	for w := 0; w < 4; w++ {
-		var wds [16]uint64
 		var any, mult uint64
-		for i := 0; i < t; i++ {
-			if p := pages[i]; p != nil {
-				v := p[w]
-				wds[i] = v
-				mult |= any & v
-				any |= v
+		for i, p := range pages {
+			var v uint64
+			if p != nil {
+				v = p[w]
+			}
+			wds[i] = v
+			mult |= any & v
+			any |= v
+		}
+		// Bits set in exactly one source: one popcount per source.
+		if single := any &^ mult; single != 0 {
+			for i := range pages {
+				if n := bits.OnesCount64(wds[i] & single); n > 0 {
+					touched = bump(counts, 1<<uint(i), int64(n), touched)
+				}
 			}
 		}
-		if any == 0 {
+		if mult == 0 {
 			continue
 		}
-		if single := any &^ mult; single != 0 {
-			for i := 0; i < t; i++ {
-				if n := bits.OnesCount64(wds[i] & single); n > 0 {
-					c := 1 << uint(i)
-					if counts[c] == 0 {
-						touched = append(touched, c)
-					}
-					counts[c] += int64(n)
-				}
+		// Bits set in two or more sources: each source scatters its share
+		// of them into the bits' capture masks.
+		masks = [64]uint16{}
+		for i := range pages {
+			for v := wds[i] & mult; v != 0; v &= v - 1 {
+				masks[bits.TrailingZeros64(v)] |= 1 << uint(i)
 			}
 		}
-		for mult != 0 {
-			b := uint(bits.TrailingZeros64(mult))
-			mult &^= 1 << b
-			var mask int
-			for i := 0; i < t; i++ {
-				if wds[i]&(1<<b) != 0 {
-					mask |= 1 << i
-				}
-			}
-			if counts[mask] == 0 {
-				touched = append(touched, mask)
-			}
-			counts[mask]++
+		for ; mult != 0; mult &= mult - 1 {
+			touched = bump(counts, int(masks[bits.TrailingZeros64(mult)]), 1, touched)
 		}
 	}
 	return touched
 }
 
-// foldPage accumulates one merged /24 page into a capture histogram.
-func foldPage(counts []int64, pages *[16]*page, t int) {
-	for w := 0; w < 4; w++ {
-		var wds [16]uint64
-		var any, mult uint64
-		for i := 0; i < t; i++ {
-			if p := pages[i]; p != nil {
-				v := p[w]
-				wds[i] = v
-				mult |= any & v
-				any |= v
-			}
-		}
-		if any == 0 {
-			continue
-		}
-		// Bits set in exactly one source: bulk popcount per source.
-		if single := any &^ mult; single != 0 {
-			for i := 0; i < t; i++ {
-				if n := bits.OnesCount64(wds[i] & single); n > 0 {
-					counts[1<<uint(i)] += int64(n)
-				}
-			}
-		}
-		// Bits shared by two or more sources: assemble the mask.
-		for mult != 0 {
-			b := uint(bits.TrailingZeros64(mult))
-			mult &^= 1 << b
-			var mask int
-			for i := 0; i < t; i++ {
-				if wds[i]&(1<<b) != 0 {
-					mask |= 1 << i
-				}
-			}
-			counts[mask]++
-		}
+// bump adds n to cell c, listing c in touched if it was zero.
+func bump(counts []int64, c int, n int64, touched []int) []int {
+	if counts[c] == 0 {
+		touched = append(touched, c)
 	}
+	counts[c] += n
+	return touched
 }

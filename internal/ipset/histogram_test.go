@@ -1,10 +1,12 @@
 package ipset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ghosts/internal/ipv4"
+	"ghosts/internal/rng"
 )
 
 func TestCaptureHistogramSmall(t *testing.T) {
@@ -57,6 +59,122 @@ func TestCaptureHistogramMatchesNaive(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	// Random uint32s almost never share a /24, so the check above only
+	// exercises the single-source popcount path. Draw t = 1..16 sources
+	// from a handful of /24s instead, so most addresses are multiply
+	// covered and the mask assembly carries the histogram.
+	dense := func(seed uint64, tRaw uint8) bool {
+		sets := denseSets(seed, 1+int(tRaw%16))
+		return slices.Equal(CaptureHistogram(sets), naiveHistogram(sets))
+	}
+	if err := quick.Check(dense, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// denseSets draws t sources over the same three to five /24s, each source
+// holding about half of every /24, so most addresses are seen by several
+// sources at once.
+func denseSets(seed uint64, t int) []*Set {
+	r := rng.New(seed)
+	bases := make([]uint32, 3+r.Intn(3))
+	for i := range bases {
+		bases[i] = r.Uint32() &^ 0xff
+	}
+	sets := make([]*Set, t)
+	for i := range sets {
+		sets[i] = New()
+		for _, b := range bases {
+			for x := uint32(0); x < 256; x++ {
+				if r.Bernoulli(0.5) {
+					sets[i].Add(ipv4.Addr(b | x))
+				}
+			}
+		}
+	}
+	return sets
+}
+
+// naiveHistogram folds the sets address by address over their union.
+func naiveHistogram(sets []*Set) []int64 {
+	h := make([]int64, 1<<uint(len(sets)))
+	union := New()
+	for _, s := range sets {
+		union = Union(union, s)
+	}
+	union.Range(func(x ipv4.Addr) bool {
+		m := 0
+		for i, s := range sets {
+			if s.Contains(x) {
+				m |= 1 << i
+			}
+		}
+		h[m]++
+		return true
+	})
+	return h
+}
+
+// TestCaptureHistogramsDenseGroups checks the grouped folds on dense,
+// multiply-covered sources: CaptureHistogramsBy and every grouping of
+// CaptureHistogramsMulti must equal CaptureHistogram run over each
+// group's /24s alone, and leave groups without pages nil.
+func TestCaptureHistogramsDenseGroups(t *testing.T) {
+	f := func(seed uint64, tRaw uint8) bool {
+		sets := denseSets(seed, 1+int(tRaw%16))
+		perGroup := func(n int, group func(uint32) int) [][]int64 {
+			want := make([][]int64, n)
+			for g := range want {
+				filtered := make([]*Set, len(sets))
+				empty := true
+				for i, s := range sets {
+					filtered[i] = New()
+					s.Range(func(x ipv4.Addr) bool {
+						if group(x.Slash24Index()) == g {
+							filtered[i].Add(x)
+						}
+						return true
+					})
+					empty = empty && filtered[i].Len() == 0
+				}
+				if !empty {
+					want[g] = CaptureHistogram(filtered)
+				}
+			}
+			return want
+		}
+		same := func(got, want [][]int64) bool {
+			if len(got) != len(want) {
+				return false
+			}
+			for g := range want {
+				if (got[g] == nil) != (want[g] == nil) || !slices.Equal(got[g], want[g]) {
+					return false
+				}
+			}
+			return true
+		}
+		groupings := []Grouping{
+			{N: 2, Group: func(k uint32) int { return int(k % 2) }},
+			{N: 3, Group: func(k uint32) int {
+				if k%4 == 3 {
+					return -1
+				}
+				return int(k % 4)
+			}},
+		}
+		multi := CaptureHistogramsMulti(sets, groupings)
+		for gi, g := range groupings {
+			want := perGroup(g.N, g.Group)
+			if !same(CaptureHistogramsBy(sets, g.N, g.Group), want) || !same(multi[gi], want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -90,6 +91,17 @@ func badRequest(format string, args ...any) error {
 	return &RequestError{msg: fmt.Sprintf(format, args...)}
 }
 
+// ErrNotFinite is returned by Compute when the estimate or its interval
+// is not finite. JSON cannot carry such a value, and the fit behind it has
+// broken down: counts near 2^53 pass Normalize yet overflow the kernel's
+// rates. The server maps it to a 422.
+var ErrNotFinite = errors.New("serve: estimate is not finite; the counts are too large to fit")
+
+// maxCount bounds every count and the total of a request's counts: 2^53
+// is the largest range of integers a float64 holds exactly, and a larger
+// total can overflow int64 on the way to an infinite N̂.
+const maxCount = 1 << 53
+
 // Normalize validates the request in place and fills defaulted fields so
 // that equal computations have equal normalised forms (and therefore equal
 // canonical keys). It returns a *RequestError when the request is invalid.
@@ -113,7 +125,14 @@ func (req *EstimateRequest) Normalize() error {
 		if c < 0 {
 			return badRequest("counts[%d]: negative count %d", i, c)
 		}
+		if c > maxCount {
+			return badRequest("counts[%d]: count %d exceeds 2^53", i, c)
+		}
+		// Both terms are at most 2^53, so the sum cannot overflow.
 		observed += c
+		if observed > maxCount {
+			return badRequest("counts: total through counts[%d] exceeds 2^53", i)
+		}
 	}
 	if observed == 0 {
 		return badRequest("counts: all observable cells are zero")
@@ -231,6 +250,11 @@ func Compute(ctx context.Context, req *EstimateRequest) (*EstimateResponse, erro
 	}
 	if err != nil {
 		return nil, err
+	}
+	for _, v := range []float64{res.N, res.Unseen, res.IC, res.Divisor, res.Interval.Lo, res.Interval.Hi} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return nil, ErrNotFinite
+		}
 	}
 	resp := &EstimateResponse{
 		API:      APIVersion,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,9 @@ func TestNormalizeValidationErrors(t *testing.T) {
 		{"bad alpha", EstimateRequest{Counts: []int64{0, 1, 2, 3}, Alpha: 2}, "alpha"},
 		{"negative max_terms", EstimateRequest{Counts: []int64{0, 1, 2, 3}, MaxTerms: -1}, "max_terms"},
 		{"negative max_order", EstimateRequest{Counts: []int64{0, 1, 2, 3}, MaxOrder: -1}, "max_order"},
+		{"count above 2^53", EstimateRequest{Counts: []int64{0, 1, 1<<53 + 1, 3}}, "counts[2]"},
+		{"total above 2^53", EstimateRequest{Counts: []int64{0, 1 << 52, 1 << 52, 1}}, "total through counts[3]"},
+		{"int64 overflow", EstimateRequest{Counts: []int64{0, math.MaxInt64 / 2, math.MaxInt64 / 2, math.MaxInt64 / 2}}, "counts[1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,6 +80,15 @@ func TestNormalizeValidationErrors(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNormalizeCountBound: counts totalling exactly 2^53 are accepted;
+// the bound is on the value, not a proxy for "large".
+func TestNormalizeCountBound(t *testing.T) {
+	req := EstimateRequest{Counts: []int64{0, 1 << 52, 1<<52 - 1, 1}}
+	if err := req.Normalize(); err != nil {
+		t.Fatalf("total of exactly 2^53 rejected: %v", err)
 	}
 }
 

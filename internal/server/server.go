@@ -355,6 +355,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &panicErr):
 			s.writeError(w, http.StatusInternalServerError, "internal_panic",
 				"estimation aborted: %v", panicErr)
+		case errors.Is(err, serve.ErrNotFinite):
+			s.writeError(w, http.StatusUnprocessableEntity, "estimate_not_finite", "%v", err)
 		case errors.Is(err, serve.ErrSaturated):
 			w.Header().Set("Retry-After", "1")
 			s.writeError(w, http.StatusServiceUnavailable, "saturated", "admission queue full, retry later")

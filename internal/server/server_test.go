@@ -168,6 +168,8 @@ func TestEstimateValidationErrors(t *testing.T) {
 		{"no counts", `{}`, "invalid_request"},
 		{"unobserved cell", `{"counts":[9,1,2,3]}`, "invalid_request"},
 		{"bad ic", `{"counts":[0,1,2,3],"ic":"DIC"}`, "invalid_request"},
+		{"count above 2^53", `{"counts":[0,9007199254740993,1,1]}`, "invalid_request"},
+		{"total above 2^53", `{"counts":[0,9007199254740992,1,0]}`, "invalid_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,6 +192,28 @@ func TestEstimateValidationErrors(t *testing.T) {
 				t.Fatalf("envelope = %+v, want code %q", env, tc.code)
 			}
 		})
+	}
+}
+
+// TestEstimateCountOverflowRejected posts counts whose int64 total
+// overflows. Unchecked, the sum wrapped, N̂ came out +Inf and encoding it
+// failed with a 500; Normalize must reject the request with a 4xx that
+// names the counts field instead.
+func TestEstimateCountOverflowRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, b := postJSON(t, ts.URL+"/v1/estimate",
+		`{"counts":[0,4611686018427387903,4611686018427387903,4611686018427387903]}`)
+	if resp.StatusCode < 400 || resp.StatusCode > 499 {
+		t.Fatalf("status %d, want 4xx; body %s", resp.StatusCode, b)
+	}
+	if !bytes.Contains(b, []byte("counts")) {
+		t.Fatalf("error does not name the counts field: %s", b)
+	}
+	// Counts within the bound can still be too large for the fit, whose
+	// N̂ then comes out +Inf: that must be a 4xx too, not a failed encode.
+	resp, b = postJSON(t, ts.URL+"/v1/estimate", `{"counts":[0,4503599627370496,4503599627370495,1]}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity || errCode(t, b) != "estimate_not_finite" {
+		t.Fatalf("non-finite estimate: status %d, want 422 estimate_not_finite; body %s", resp.StatusCode, b)
 	}
 }
 

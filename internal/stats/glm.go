@@ -41,6 +41,12 @@ type Workspace struct {
 	lam, lamCand []float64 // per-cell rate exp(clamped η)
 	tn, tnCand   []bool    // per-cell: truncation negligible (or absent)
 	zw, zr       []float64 // zeta-transform buffers for weights and residuals
+
+	// One-entry cache of negligibleMax: the bits of the last limit l and
+	// its threshold λ*(l).
+	negKey uint64
+	negMax float64
+	negOK  bool
 }
 
 // reserve sizes every buffer for an n-row, p-column fit.

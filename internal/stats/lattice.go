@@ -124,14 +124,54 @@ func LatticeEta(t int, masks []int, coef []float64, eta []float64) {
 // differs from the dense kernel, so coefficients agree to tolerance
 // (≤1e-9 relative, pinned by the differential tests), not bit-exactly.
 func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, error) {
-	if err := ld.Validate(); err != nil {
+	if err := ld.check(y, limits); err != nil {
 		return nil, err
 	}
+	return ld.fit(y, limits, ld.LogFactSum(y), init, ws)
+}
+
+// FitConst is Fit with the table constant Σ ln y_s! supplied by the
+// caller, who computed it once with LogFactSum(y) for a y it refits under
+// many designs (the stepwise search). The result is bit-identical to
+// Fit(y, limits, init, ws).
+func (ld Lattice) FitConst(y, limits []float64, logFactSum float64, init []float64, ws *Workspace) (*GLMResult, error) {
+	if err := ld.check(y, limits); err != nil {
+		return nil, err
+	}
+	return ld.fit(y, limits, logFactSum, init, ws)
+}
+
+// LogFactSum returns Σ ln y_s! over the lattice's active cells (cell 0
+// only when Cell0 is set), the data-only term of the log-likelihood. It
+// depends on T, Cell0 and y alone — never on the design's masks.
+func (ld Lattice) LogFactSum(y []float64) float64 {
+	first := 1
+	if ld.Cell0 {
+		first = 0
+	}
+	var sum float64
+	for s := first; s < 1<<uint(ld.T); s++ {
+		sum += LogFactorial(y[s])
+	}
+	return sum
+}
+
+// check validates the design and the vector lengths of a fit.
+func (ld Lattice) check(y, limits []float64) error {
+	if err := ld.Validate(); err != nil {
+		return err
+	}
+	n := 1 << uint(ld.T)
+	if len(y) != n || (limits != nil && len(limits) != n) {
+		return errors.New("stats: lattice dimension mismatch")
+	}
+	return nil
+}
+
+// fit is the scoring loop behind Fit and FitConst, on checked inputs.
+func (ld Lattice) fit(y, limits []float64, logFactSum float64, init []float64, ws *Workspace) (*GLMResult, error) {
 	n := 1 << uint(ld.T)
 	p := len(ld.Masks)
-	if len(y) != n || (limits != nil && len(limits) != n) {
-		return nil, errors.New("stats: lattice dimension mismatch")
-	}
 	if ws == nil {
 		ws = &Workspace{}
 	}
@@ -165,10 +205,6 @@ func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, err
 			return math.Inf(1)
 		}
 		return limits[s]
-	}
-	var logFactSum float64
-	for s := first; s < n; s++ {
-		logFactSum += LogFactorial(y[s])
 	}
 	ll := ld.logLik(y, limits, coef, logFactSum, ws)
 	// logLik left η(coef), λ(coef) and the per-cell truncation flags in the
@@ -294,7 +330,9 @@ func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, err
 // coef, computing η by subset sum into the workspace's candidate buffers.
 // Alongside the likelihood it records per-cell λ = exp(clamped η) and
 // whether the cell's truncation is absent or negligible, so the scoring
-// loop can reuse both when the candidate is accepted.
+// loop can reuse both when the candidate is accepted. The negligibility
+// test is the exact threshold λ ≤ negligibleMax(l), which agrees with
+// TruncationNegligible(l, λ) on every λ and costs one comparison per cell.
 func (ld Lattice) logLik(y, limits, coef []float64, logFactSum float64, ws *Workspace) float64 {
 	n := 1 << uint(ld.T)
 	eta := ws.etaCand[:n]
@@ -317,7 +355,10 @@ func (ld Lattice) logLik(y, limits, coef []float64, logFactSum float64, ws *Work
 		lam[s] = lambda
 		ll += y[s]*e - lambda
 		if limits != nil && !math.IsInf(limits[s], 1) {
-			if TruncationNegligible(limits[s], lambda) {
+			if l := limits[s]; !ws.negOK || math.Float64bits(l) != ws.negKey {
+				ws.cacheNegligibleMax(l)
+			}
+			if lambda <= ws.negMax {
 				tn[s] = true
 			} else {
 				tn[s] = false
@@ -328,4 +369,36 @@ func (ld Lattice) logLik(y, limits, coef []float64, logFactSum float64, ws *Work
 		}
 	}
 	return ll
+}
+
+// negligibleMax returns λ*(l), the largest λ ≥ 0 with
+// TruncationNegligible(l, λ), or −Inf when there is none (l ≤ 100). The
+// bound λ + 40√λ + 100 is monotone in λ under IEEE rounding (each
+// operation is correctly rounded and monotone in its operands), so
+// {λ ≥ 0 : TruncationNegligible(l, λ)} is a down-set and
+// TruncationNegligible(l, λ) == (λ <= λ*(l)) for every λ ≥ 0 and NaN
+// (both false). Non-negative float64s order like their bit patterns, so a
+// bisection over the patterns of [0, +Inf] finds λ* in at most 64 steps.
+func negligibleMax(l float64) float64 {
+	if !TruncationNegligible(l, 0) {
+		return math.Inf(-1)
+	}
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1)) // negligible at lo, not at hi
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if TruncationNegligible(l, math.Float64frombits(mid)) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Float64frombits(lo)
+}
+
+// cacheNegligibleMax fills the workspace's one-entry negligibleMax cache
+// for l. A fit's cells almost always share one limit, so logLik pays the
+// bisection once per workspace and limit instead of a square root per
+// cell per evaluation.
+func (ws *Workspace) cacheNegligibleMax(l float64) {
+	ws.negKey, ws.negMax, ws.negOK = math.Float64bits(l), negligibleMax(l), true
 }

@@ -442,3 +442,90 @@ func TestLatticeValidate(t *testing.T) {
 		t.Fatal("expected dimension mismatch error")
 	}
 }
+
+// TestLatticeNegligibleThreshold pins the exact negligibility threshold the
+// lattice likelihood uses in place of TruncationNegligible:
+// λ <= negligibleMax(l) must agree with TruncationNegligible(l, λ) for
+// every limit and rate — at the threshold, at its neighbours one ulp
+// either side, and at random points.
+func TestLatticeNegligibleThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	limits := []float64{
+		math.Inf(-1), -1, 0, 1, 99, 100, math.Nextafter(100, 200), 101, 140, 256, 1000,
+		1 << 24, 1 << 32, 1 << 53, 1<<53 + 2, 1e18, 1e300, math.MaxFloat64, math.Inf(1),
+	}
+	for i := 0; i < 300; i++ {
+		switch i % 3 {
+		case 0:
+			limits = append(limits, math.Floor(rng.Float64()*200)) // around the +100 floor
+		case 1:
+			limits = append(limits, math.Floor(math.Exp(rng.Float64()*40))) // up to ~2^57
+		default:
+			limits = append(limits, math.Float64frombits(rng.Uint64()>>1)) // any non-negative float
+		}
+	}
+	rates := []float64{0, math.SmallestNonzeroFloat64, math.Exp(-30), 1e-3, 0.5, 1, 12, 13, 1e6, math.Exp(30), 1e300, math.MaxFloat64, math.Inf(1), math.NaN()}
+	check := func(l, lambda float64) {
+		t.Helper()
+		if got, want := lambda <= negligibleMax(l), TruncationNegligible(l, lambda); got != want {
+			t.Fatalf("l=%v λ=%v: threshold test %v, TruncationNegligible %v (λ*=%v)", l, lambda, got, want, negligibleMax(l))
+		}
+	}
+	for _, l := range limits {
+		lmax := negligibleMax(l)
+		if !math.IsInf(lmax, -1) {
+			check(l, lmax)
+			check(l, math.Nextafter(lmax, math.Inf(1)))
+			if lmax > 0 {
+				check(l, math.Nextafter(lmax, 0))
+			}
+			for k := 0; k < 20; k++ {
+				check(l, lmax*rng.Float64()*2)
+			}
+		}
+		for _, lambda := range rates {
+			check(l, lambda)
+		}
+		for k := 0; k < 20; k++ {
+			check(l, math.Exp(rng.Float64()*80-40))
+			check(l, math.Float64frombits(rng.Uint64()>>1))
+		}
+	}
+}
+
+// TestLatticeFitConstBitIdentical checks that supplying Σ ln y_s! through
+// FitConst, with a workspace shared across limits, reproduces Fit bit for
+// bit.
+func TestLatticeFitConstBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ws := &Workspace{}
+	for tt := 2; tt <= 8; tt++ {
+		for _, cell0 := range []bool{false, true} {
+			ld := randomLattice(tt, rng)
+			ld.Cell0 = cell0
+			y, limits := randomCells(tt, rng)
+			for s := range limits {
+				if rng.Intn(2) == 0 {
+					limits[s] = 256 // shared /24-style limit
+				}
+			}
+			want, err := ld.Fit(y, limits, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ld.FitConst(y, limits, ld.LogFactSum(y), nil, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.LogLik) != math.Float64bits(want.LogLik) || got.Iterations != want.Iterations {
+				t.Fatalf("t=%d cell0=%v: FitConst loglik %v (%d iters), Fit %v (%d iters)",
+					tt, cell0, got.LogLik, got.Iterations, want.LogLik, want.Iterations)
+			}
+			for j := range want.Coef {
+				if math.Float64bits(got.Coef[j]) != math.Float64bits(want.Coef[j]) {
+					t.Fatalf("t=%d cell0=%v: coef %d differs", tt, cell0, j)
+				}
+			}
+		}
+	}
+}

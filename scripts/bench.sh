@@ -68,11 +68,20 @@ END { print "\n]" }
 
 echo "wrote $OUT"
 
-# Diff the two newest snapshots: flag every benchmark whose ns/op regressed
-# by more than 15%. Informational by default (a regression needs a justified
-# review, not a hidden one); set GHOSTS_BENCH_STRICT=1 to make it fatal.
-PREV="$(ls -t BENCH_*.json 2>/dev/null | grep -v -e '\.telemetry\.json$' -e '\.serve\.json$' | sed -n 2p || true)"
+# Diff against the newest earlier snapshot: flag every benchmark whose
+# ns/op regressed by more than 15%. Informational by default (a regression
+# needs a justified review, not a hidden one); set GHOSTS_BENCH_STRICT=1 to
+# make it fatal. The .telemetry/.serve/.stream/.fleet sidecars hold no
+# benchmark entries, so they are never the baseline; a baseline without
+# entries would compare nothing and is an error, not a pass.
+PREV="$(ls -t BENCH_*.json 2>/dev/null \
+    | grep -v -e '\.telemetry\.json$' -e '\.serve\.json$' -e '\.stream\.json$' -e '\.fleet\.json$' \
+    | grep -vxF "$OUT" | sed -n 1p || true)"
 if [ -n "$PREV" ]; then
+    if ! grep -q '"ns/op"' "$PREV"; then
+        echo "bench: baseline $PREV has no benchmark entries; the regression gate would compare nothing" >&2
+        exit 1
+    fi
     if ! awk -v prevfile="$PREV" -v curfile="$OUT" '
         function load(file, tgt,    line, name, ns) {
             while ((getline line < file) > 0) {

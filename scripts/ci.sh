@@ -29,7 +29,11 @@ echo "== lattice/dense differential (-race) =="
 # tolerance on every design shape (DESIGN.md §8): the differential property
 # tests are the licence for routing all engine fits through the lattice
 # path, so they run as their own named gate, race-enabled and uncached.
+# The pinned sweep test holds the engine's output to committed float64 bits
+# (internal/core/testdata/sweep_pinned.json), so kernel drift too small
+# for the tolerance checks still fails here.
 go test -race -count=1 -run 'TestLattice|TestMoments' ./internal/stats
+go test -race -count=1 -run 'TestEstimateSweepPinned' ./internal/core
 
 echo "== strata fold/Split differential (-race) =="
 # The labelled histogram fold must agree bit-for-bit with the dense
@@ -39,7 +43,7 @@ echo "== strata fold/Split differential (-race) =="
 # race-enabled and uncached.
 go test -race -count=1 -run 'TestStratDifferential' ./internal/experiments
 go test -race -count=1 -run 'TestLabelTableDifferential|TestCaptureHistogramsDifferential' ./internal/strata
-go test -race -count=1 -run 'TestCaptureHistogramsBy' ./internal/ipset
+go test -race -count=1 -run 'TestCaptureHistogramsBy|TestCaptureHistogramsDenseGroups|TestCaptureHistogramMatchesNaive' ./internal/ipset
 
 echo "== deadlock smoke =="
 # Bounded-time regression net for the single-flight leader-panic deadlock:
