@@ -13,6 +13,7 @@ package ghosts
 // pipeline), so the first benchmark touching a pipeline pays its cost.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -238,7 +239,7 @@ func BenchmarkSelectModel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := core.SelectModel(tb, opt)
+		m, _, err := core.SelectModelCtx(context.Background(), tb, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +259,7 @@ func BenchmarkProfileInterval(b *testing.B) {
 		IC: core.BIC, Divisor: core.Adaptive1000,
 		Limit: limit, MaxTerms: 3, MaxOrder: 2,
 	}
-	m, _, err := core.SelectModel(tb, opt)
+	m, _, err := core.SelectModelCtx(context.Background(), tb, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func BenchmarkProfileInterval(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		iv, err := core.ProfileInterval(tb, fit, limit, 1e-7, limit)
+		iv, err := core.ProfileIntervalScaledCtx(context.Background(), tb, fit, limit, 1e-7, limit, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -93,7 +94,7 @@ func main() {
 	}
 	gof := core.GoodnessOfFit(tb, fit)
 	fmt.Printf("Goodness of fit: deviance %.1f on %d df (p = %.3f)\n", gof.Deviance, gof.DF, gof.PValue)
-	if bi, err := core.BootstrapInterval(tb, fit, math.Inf(1), 200, 0.95, 7); err == nil {
+	if bi, err := core.BootstrapIntervalCtx(context.Background(), tb, fit, math.Inf(1), 200, 0.95, 7); err == nil {
 		fmt.Printf("Bootstrap 95%% interval (Poisson noise only): [%.0f, %.0f]\n\n", bi.Lo, bi.Hi)
 	}
 

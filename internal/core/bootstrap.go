@@ -12,22 +12,18 @@ import (
 	"ghosts/internal/telemetry"
 )
 
-// BootstrapInterval computes a parametric-bootstrap percentile interval
+// BootstrapIntervalCtx computes a parametric-bootstrap percentile interval
 // for the population estimate, as an alternative to the profile-likelihood
 // interval: each observable cell is resampled Z*_s ~ Poisson(λ̂_s) from the
 // fitted model, the same model is refitted, and the conf-level percentile
 // range of the resampled N̂ is returned. Unlike the profile interval it
 // reflects only Poisson sampling noise, so it is a lower bound on the real
 // uncertainty (§3.3.3's caveat applies with the same force).
-func BootstrapInterval(tb *Table, fit *FitResult, limit float64, b int, conf float64, seed uint64) (Interval, error) {
-	return BootstrapIntervalCtx(context.Background(), tb, fit, limit, b, conf, seed)
-}
-
-// BootstrapIntervalCtx is BootstrapInterval with cooperative cancellation:
-// the fan-out checks ctx between replicates and the call returns ctx.Err()
+//
+// The fan-out checks ctx between replicates and the call returns ctx.Err()
 // once it is done, instead of refitting the remaining replicates. With a
-// never-canceled context the replicate streams — and the interval — are
-// bit-identical to BootstrapInterval.
+// never-canceled context the replicate streams — and the interval — are the
+// same whatever context is passed.
 func BootstrapIntervalCtx(ctx context.Context, tb *Table, fit *FitResult, limit float64, b int, conf float64, seed uint64) (Interval, error) {
 	if b < 10 {
 		return Interval{}, errors.New("core: need at least 10 bootstrap replicates")

@@ -64,15 +64,19 @@ type GOF struct {
 }
 
 // GoodnessOfFit evaluates how well a fitted model reproduces the observed
-// contingency table.
+// contingency table. Cell s's linear predictor sums, in column order, the
+// coefficients of the columns whose mask is a subset of s: the design row
+// dot product, term for term and in the same order.
 func GoodnessOfFit(tb *Table, fit *FitResult) GOF {
-	x := fit.Model.design()
-	g := GOF{DF: x.Rows - fit.Model.NumParams()}
+	masks := fit.Model.ColumnMasks()
+	g := GOF{DF: 1<<uint(fit.Model.T) - 1 - len(masks)}
 	for s := 1; s < len(tb.Counts); s++ {
 		z := float64(tb.Counts[s])
 		eta := 0.0
-		for j, v := range x.Row(s - 1) {
-			eta += v * fit.Coef[j]
+		for j, mask := range masks {
+			if s&mask == mask {
+				eta += fit.Coef[j]
+			}
 		}
 		if eta > 30 {
 			eta = 30

@@ -152,8 +152,15 @@ func (e *Estimator) estimateFull(ctx context.Context, tb *Table, wantInterval bo
 			return nil, nil, cerr
 		}
 		if err == nil {
+			// N̂ is clamped to the limit above, so the interval is too: a
+			// fit whose unclamped N̂ overshoots the limit profiles an
+			// interval that can lie wholly beyond it, and lo ≤ N̂ ≤ hi
+			// must still hold.
 			if !math.IsInf(limit, 1) && iv.Hi > limit {
 				iv.Hi = limit
+			}
+			if iv.Lo > n {
+				iv.Lo = n
 			}
 			res.Interval = iv
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestEstimateStratifiedAllEmpty(t *testing.T) {
 }
 
 // TestProfileIntervalWarmStartTelemetry: the bisection's evaluations must
-// run on the lattice kernel and warm-start from one another — the saved
+// be recorded as fits and warm-start from one another — the saved
 // Fisher iterations (cold-evaluation count minus each warm evaluation's)
 // land in the WarmStartSaved counter.
 func TestProfileIntervalWarmStartTelemetry(t *testing.T) {
@@ -160,14 +161,11 @@ func TestProfileIntervalWarmStartTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ProfileInterval(tb, fit, math.Inf(1), 1e-7, math.Inf(1)); err != nil {
+	if _, err := ProfileIntervalScaledCtx(context.Background(), tb, fit, math.Inf(1), 1e-7, math.Inf(1), 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.LatticeFits.Load(); got == 0 {
-		t.Fatal("profile evaluations did not use the lattice kernel")
-	}
-	if got := rec.DenseFallbacks.Load(); got != 0 {
-		t.Fatalf("profile evaluations fell back to the dense kernel %d times", got)
+	if got := rec.Fits.Load(); got == 0 {
+		t.Fatal("profile evaluations recorded no fits")
 	}
 	if got := rec.WarmStartSaved.Load(); got == 0 {
 		t.Fatal("warm-started profile evaluations saved no Fisher iterations")
@@ -181,11 +179,11 @@ func TestProfileIntervalWidensWithAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := ProfileInterval(tb, fit, math.Inf(1), 0.05, math.Inf(1))
+	narrow, err := ProfileIntervalScaledCtx(context.Background(), tb, fit, math.Inf(1), 0.05, math.Inf(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := ProfileInterval(tb, fit, math.Inf(1), 1e-7, math.Inf(1))
+	wide, err := ProfileIntervalScaledCtx(context.Background(), tb, fit, math.Inf(1), 1e-7, math.Inf(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +259,7 @@ func BenchmarkSelectModelNineSources(b *testing.B) {
 	opt := SelectionOptions{IC: BIC, Divisor: Adaptive1000, Limit: math.Inf(1), MaxTerms: 6, MaxOrder: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SelectModel(tb, opt); err != nil {
+		if _, _, err := SelectModelCtx(context.Background(), tb, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

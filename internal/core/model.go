@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"ghosts/internal/stats"
 	"ghosts/internal/telemetry"
@@ -112,72 +111,6 @@ func (m Model) appendColumnMasks(dst []int) []int {
 		dst = append(dst, 1<<uint(i))
 	}
 	return append(dst, m.Terms...)
-}
-
-// designCache memoises design matrices per model. The stepwise search, the
-// profile-interval bisection and the bootstrap all refit the same few
-// models over and over; the matrix depends only on (T, Terms), is
-// read-only after construction, and there are at most a few hundred
-// distinct models per estimation, so a process-wide cache is safe and
-// effective. designCacheLen bounds it defensively: past the cap matrices
-// are built uncached instead of evicted.
-var (
-	designCache    sync.Map // string key -> stats.Matrix
-	designCacheLen atomic.Int64
-)
-
-const designCacheCap = 1 << 14
-
-// designKey encodes (T, Terms) compactly; T ≤ 16 so each term fits 2 bytes.
-func (m Model) designKey() string {
-	b := make([]byte, 1+2*len(m.Terms))
-	b[0] = byte(m.T)
-	for i, h := range m.Terms {
-		b[1+2*i] = byte(h)
-		b[2+2*i] = byte(h >> 8)
-	}
-	return string(b)
-}
-
-// design returns the flat row-major GLM design matrix for the model over
-// the 2^t−1 observable histories (rows ordered by history mask 1..2^t−1),
-// cached per model. Column 0 is the intercept, columns 1..t the main
-// effects, then one column per interaction; x[s][j] = 1 iff term j's
-// source set is a subset of s. Callers must treat the result as read-only.
-func (m Model) design() stats.Matrix {
-	key := m.designKey()
-	if v, ok := designCache.Load(key); ok {
-		return v.(stats.Matrix)
-	}
-	x := m.buildDesign()
-	if designCacheLen.Load() < designCacheCap {
-		if _, loaded := designCache.LoadOrStore(key, x); !loaded {
-			designCacheLen.Add(1)
-		}
-	}
-	return x
-}
-
-// buildDesign constructs the design matrix without consulting the cache.
-func (m Model) buildDesign() stats.Matrix {
-	n := 1<<uint(m.T) - 1
-	p := m.NumParams()
-	x := stats.NewMatrix(n, p)
-	for s := 1; s <= n; s++ {
-		row := x.Row(s - 1)
-		row[0] = 1
-		for i := 0; i < m.T; i++ {
-			if s&(1<<uint(i)) != 0 {
-				row[1+i] = 1
-			}
-		}
-		for j, h := range m.Terms {
-			if s&h == h {
-				row[1+m.T+j] = 1
-			}
-		}
-	}
-	return x
 }
 
 // FitResult is a fitted log-linear CR model.
@@ -292,39 +225,19 @@ func (tc *tableConsts) fitPooled(m Model, init []float64) (*FitResult, error) {
 	return tc.fit(m, init, sc)
 }
 
-// fit fits model m to the constants through sc's workspace. Fits route
-// through the lattice (zeta transform) kernel — the CR design is always a
-// subset indicator over the capture-history lattice — falling back to the
-// dense row-major kernel for the rare shape the lattice kernel rejects
-// (e.g. more columns than observable cells at tiny t).
+// fit fits model m to the constants through sc's workspace. Every CR
+// design is a subset indicator over the capture-history lattice, so the
+// lattice (zeta transform) kernel serves every fit; a shape it rejects (a
+// single source, whose two columns outnumber its one observable cell) is
+// an error, as no Poisson fit of it is identifiable.
 func (tc *tableConsts) fit(m Model, init []float64, sc *fitScratch) (*FitResult, error) {
 	sc.masks = m.appendColumnMasks(sc.masks)
 	ld := stats.Lattice{T: m.T, Masks: sc.masks}
-	var res *stats.GLMResult
-	var err error
-	if ld.Validate() == nil {
-		res, err = ld.FitConst(tc.y, tc.limits, tc.logFacts, init, &sc.ws)
-	} else {
-		telemetry.Active().DenseFallback()
-		res, err = tc.fitDense(m, init, &sc.ws)
-	}
+	res, err := ld.FitConst(tc.y, tc.limits, tc.logFacts, init, &sc.ws)
 	if err != nil {
 		return nil, err
 	}
 	return fitResultFrom(tc.tb, m, res, tc.scale), nil
-}
-
-// fitDense is the dense-kernel fallback: it materialises the design
-// matrix, whose rows are the observable cells 1..2^t−1, and runs the
-// row-major IRLS kernel on the same response and limits. Kept for
-// designs the lattice kernel rejects and as the reference implementation
-// the differential tests compare against.
-func (tc *tableConsts) fitDense(m Model, init []float64, ws *stats.Workspace) (*stats.GLMResult, error) {
-	var limits []float64
-	if tc.limits != nil {
-		limits = tc.limits[1:]
-	}
-	return stats.FitPoissonGLMFlat(m.design(), tc.y[1:], limits, init, ws)
 }
 
 // fitResultFrom wraps a kernel result into a FitResult.

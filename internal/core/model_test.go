@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ghosts/internal/rng"
@@ -53,34 +54,43 @@ func TestTermName(t *testing.T) {
 	}
 }
 
+// TestDesignShape pins the design the column masks describe: intercept,
+// main effects, then interactions, with cell s's row x[s][j] = 1 iff
+// mask_j ⊆ s.
 func TestDesignShape(t *testing.T) {
 	m := IndependenceModel(3).With(0b011)
-	x := m.design()
-	if x.Rows != 7 {
-		t.Fatalf("rows = %d, want 7", x.Rows)
+	masks := m.ColumnMasks()
+	if want := []int{0, 0b001, 0b010, 0b100, 0b011}; !reflect.DeepEqual(masks, want) {
+		t.Fatalf("column masks = %v, want %v", masks, want)
 	}
-	if x.Cols != m.NumParams() {
-		t.Fatalf("cols = %d, want %d", x.Cols, m.NumParams())
+	if len(masks) != m.NumParams() {
+		t.Fatalf("cols = %d, want %d", len(masks), m.NumParams())
 	}
-	for i := 0; i < x.Rows; i++ {
-		if x.Row(i)[0] != 1 {
+	row := func(s int) []int {
+		r := make([]int, len(masks))
+		for j, mask := range masks {
+			if s&mask == mask {
+				r[j] = 1
+			}
+		}
+		return r
+	}
+	for s := 1; s < 8; s++ {
+		if row(s)[0] != 1 {
 			t.Fatal("intercept column must be 1")
 		}
 	}
-	// History 0b011 (row index 2): mains 1,2 present, interaction {1,2} on.
-	row := x.Row(0b011 - 1)
-	if row[1] != 1 || row[2] != 1 || row[3] != 0 || row[4] != 1 {
-		t.Fatalf("design row for 011 = %v", row)
+	// History 0b011: mains 1,2 present, interaction {1,2} on.
+	if got := row(0b011); !reflect.DeepEqual(got, []int{1, 1, 1, 0, 1}) {
+		t.Fatalf("design row for 011 = %v", got)
+	}
+	// History 0b101: the interaction {1,2} is off.
+	if got := row(0b101); !reflect.DeepEqual(got, []int{1, 1, 0, 1, 0}) {
+		t.Fatalf("design row for 101 = %v", got)
 	}
 	// History 0b111: everything on.
-	row = x.Row(0b111 - 1)
-	if row[1] != 1 || row[2] != 1 || row[3] != 1 || row[4] != 1 {
-		t.Fatalf("design row for 111 = %v", row)
-	}
-	// The cache must hand back the same backing matrix for equal models.
-	again := IndependenceModel(3).With(0b011).design()
-	if &again.Data[0] != &x.Data[0] {
-		t.Error("design cache should return the same backing array for equal models")
+	if got := row(0b111); !reflect.DeepEqual(got, []int{1, 1, 1, 1, 1}) {
+		t.Fatalf("design row for 111 = %v", got)
 	}
 }
 

@@ -25,15 +25,13 @@ type Interval struct {
 // Poisson-random (§3.3.3: the interval is "merely a useful heuristic
 // indication"). The unobserved cell's design row is the intercept alone,
 // which is exactly lattice cell 0, so the profile fit is the lattice
-// kernel with Cell0 set; the dense extended-design path remains as the
-// fallback for designs the lattice kernel rejects. The bisection evaluates
-// the profile dozens of times per interval, so the vectors and GLM
-// workspace are built once and reused, and each evaluation warm-starts
-// from the previous one's coefficients — adjacent bisection points have
-// nearly identical maximisers.
+// kernel with Cell0 set. The bisection evaluates the profile dozens of
+// times per interval, so the vectors and GLM workspace are built once and
+// reused, and each evaluation warm-starts from the previous one's
+// coefficients — adjacent bisection points have nearly identical
+// maximisers.
 type profiler struct {
-	ld     stats.Lattice // Cell0 profile lattice (when dense is nil)
-	dense  stats.Matrix  // extended design, fallback path only
+	ld     stats.Lattice // Cell0 profile lattice
 	y      []float64     // cell-indexed; y[0] is rewritten per evaluation
 	limits []float64
 	scale  float64
@@ -50,16 +48,6 @@ func newProfiler(tb *Table, m Model, limit float64, scale float64) *profiler {
 	pr := &profiler{scale: scale}
 	pr.ld = stats.Lattice{T: m.T, Masks: m.ColumnMasks(), Cell0: true}
 	n := 1 << uint(m.T)
-	if pr.ld.Validate() != nil {
-		telemetry.Active().DenseFallback()
-		base := m.design()
-		p := base.Cols
-		// Row 0 is the unobserved cell: intercept only.
-		pr.dense = stats.NewMatrix(base.Rows+1, p)
-		pr.dense.Row(0)[0] = 1
-		copy(pr.dense.Data[p:], base.Data)
-		n = pr.dense.Rows
-	}
 	pr.y = make([]float64, n)
 	for s := 1; s < len(tb.Counts); s++ {
 		pr.y[s] = float64(tb.Counts[s]) / scale
@@ -75,13 +63,7 @@ func newProfiler(tb *Table, m Model, limit float64, scale float64) *profiler {
 // pinned to n0, warm-starting from the previous evaluation's maximiser.
 func (pr *profiler) logLik(n0 float64) (float64, error) {
 	pr.y[0] = n0 / pr.scale
-	var res *stats.GLMResult
-	var err error
-	if pr.dense.Rows > 0 {
-		res, err = stats.FitPoissonGLMFlat(pr.dense, pr.y, pr.limits, pr.warm, &pr.ws)
-	} else {
-		res, err = pr.ld.Fit(pr.y, pr.limits, pr.warm, &pr.ws)
-	}
+	res, err := pr.ld.Fit(pr.y, pr.limits, pr.warm, &pr.ws)
 	if err != nil {
 		return 0, err
 	}
@@ -94,29 +76,20 @@ func (pr *profiler) logLik(n0 float64) (float64, error) {
 	return res.LogLik, nil
 }
 
-// ProfileInterval computes the 100(1−α)% profile-likelihood interval for N̂
-// following the procedure of Baillargeon & Rivest (Rcapture): the interval
-// is {N : 2(ℓ_max − ℓ(N)) ≤ χ²₁(1−α)}, located by bisection on each side of
-// the point estimate. upper bounds the search (pass the routed-space size,
-// or +Inf).
-func ProfileInterval(tb *Table, fit *FitResult, limit float64, alpha, upper float64) (Interval, error) {
-	return ProfileIntervalScaled(tb, fit, limit, alpha, upper, 1)
-}
-
-// ProfileIntervalScaled is ProfileInterval with the divisor heuristic
-// applied to the likelihood (§3.3.2/§3.3.3): counts are divided by scale
-// before profiling, widening the interval by roughly √scale to account for
-// non-random sampling.
-func ProfileIntervalScaled(tb *Table, fit *FitResult, limit float64, alpha, upper, scale float64) (Interval, error) {
-	return ProfileIntervalScaledCtx(context.Background(), tb, fit, limit, alpha, upper, scale)
-}
-
-// ProfileIntervalScaledCtx is ProfileIntervalScaled with cooperative
-// cancellation: ctx is checked before every profile-likelihood evaluation
-// (each one is a full GLM re-fit, the unit of work the search is made of),
-// so a canceled context stops the bisection within one step and returns
-// ctx.Err(). With a never-canceled context the evaluation sequence — and
-// the interval — is bit-identical to ProfileIntervalScaled.
+// ProfileIntervalScaledCtx computes the 100(1−α)% profile-likelihood
+// interval for N̂ following the procedure of Baillargeon & Rivest
+// (Rcapture): the interval is {N : 2(ℓ_max − ℓ(N)) ≤ χ²₁(1−α)}, located by
+// bisection on each side of the point estimate. upper bounds the search
+// (pass the routed-space size, or +Inf). The divisor heuristic is applied
+// to the likelihood (§3.3.2/§3.3.3): counts are divided by scale before
+// profiling, widening the interval by roughly √scale to account for
+// non-random sampling; pass 1 for the plain profile.
+//
+// ctx is checked before every profile-likelihood evaluation (each one is a
+// full GLM re-fit, the unit of work the search is made of), so a canceled
+// context stops the bisection within one step and returns ctx.Err(). With
+// a never-canceled context the evaluation sequence — and the interval — is
+// the same whatever context is passed.
 func ProfileIntervalScaledCtx(ctx context.Context, tb *Table, fit *FitResult, limit float64, alpha, upper, scale float64) (Interval, error) {
 	mObs := float64(tb.Observed())
 	nHat := fit.N

@@ -73,7 +73,7 @@ func (dm DivisorMode) divisor(tb *Table) float64 {
 // no other model n has ICn < ICm − 7".
 const icDelta = 7
 
-// SelectionOptions configure SelectModel.
+// SelectionOptions configure SelectModelCtx.
 type SelectionOptions struct {
 	IC       IC
 	Divisor  DivisorMode
@@ -82,23 +82,19 @@ type SelectionOptions struct {
 	MaxOrder int     // highest interaction order considered; 0 means T−1
 }
 
-// SelectModel performs forward stepwise search over hierarchical log-linear
-// models, starting at the independence model and greedily adding the
-// interaction that lowers the chosen IC most, while the improvement exceeds
-// the −7 rule. It returns the selected model and its IC value.
+// SelectModelCtx performs forward stepwise search over hierarchical
+// log-linear models, starting at the independence model and greedily adding
+// the interaction that lowers the chosen IC most, while the improvement
+// exceeds the −7 rule. It returns the selected model and its IC value.
 //
 // Exhaustive enumeration over all hierarchical models is infeasible for
 // t = 9 sources, so — as with Rcapture in practice — the search is
 // stepwise; the IC and stopping rule are exactly the paper's.
-func SelectModel(tb *Table, opt SelectionOptions) (Model, float64, error) {
-	return SelectModelCtx(context.Background(), tb, opt)
-}
-
-// SelectModelCtx is SelectModel with cooperative cancellation: the search
-// checks ctx between stepwise rounds and between candidate fits (via the
-// worker pool's own checkpoints) and returns ctx.Err() once it is done.
-// With a never-canceled context the search — and the selected model, IC and
-// coefficients — is bit-identical to SelectModel.
+//
+// The search checks ctx between stepwise rounds and between candidate fits
+// (via the worker pool's own checkpoints) and returns ctx.Err() once it is
+// done. With a never-canceled context the search — and the selected model,
+// IC and coefficients — is the same whatever context is passed.
 func SelectModelCtx(ctx context.Context, tb *Table, opt SelectionOptions) (Model, float64, error) {
 	t := tb.T
 	maxOrder := opt.MaxOrder

@@ -217,6 +217,43 @@ func TestEstimateCountOverflowRejected(t *testing.T) {
 	}
 }
 
+// TestEstimateIntervalOrdered: when the fitted N̂ overshoots the limit,
+// the estimate is clamped to the limit, and so is the whole interval —
+// lo ≤ estimate ≤ hi on every 200.
+func TestEstimateIntervalOrdered(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"counts":[0,400,350,120,300,90,80,40],"limit":1000}`,
+		`{"counts":[0,5,3,0],"limit":5000}`,
+	} {
+		resp, b := postJSON(t, ts.URL+"/v1/estimate", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d; body %s", body, resp.StatusCode, b)
+		}
+		var er serve.EstimateResponse
+		if err := json.Unmarshal(b, &er); err != nil {
+			t.Fatal(err)
+		}
+		if er.Interval == nil {
+			t.Fatalf("%s: no interval; body %s", body, b)
+		}
+		if !(er.Interval.Lo <= er.Estimate && er.Estimate <= er.Interval.Hi) {
+			t.Fatalf("%s: lo %v, estimate %v, hi %v out of order", body, er.Interval.Lo, er.Estimate, er.Interval.Hi)
+		}
+	}
+}
+
+// TestEstimateSingleSource422: a table whose only non-empty source is one
+// column has no identifiable log-linear fit, so the engine refuses it and
+// the client gets a 422 rather than a number.
+func TestEstimateSingleSource422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, b := postJSON(t, ts.URL+"/v1/estimate", `{"counts":[0,5,0,0]}`)
+	if resp.StatusCode != http.StatusUnprocessableEntity || errCode(t, b) != "estimation_failed" {
+		t.Fatalf("status %d, want 422 estimation_failed; body %s", resp.StatusCode, b)
+	}
+}
+
 func TestEstimateSheddingWhenSaturated(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 16)

@@ -7,6 +7,77 @@ import (
 	"ghosts/internal/telemetry"
 )
 
+// GLMResult holds a fitted Poisson regression.
+type GLMResult struct {
+	Coef       []float64 // coefficient per design column
+	Fitted     []float64 // fitted Poisson rate λ per lattice cell
+	LogLik     float64   // maximised log-likelihood (full, incl. constants)
+	Iterations int
+	Converged  bool
+}
+
+// maxEta bounds the linear predictor so exp never overflows; e^30 ≈ 1e13
+// comfortably exceeds any count in the IPv4 space.
+const maxEta = 30
+
+// Workspace holds the scratch buffers of one Fisher-scoring fit so hot
+// loops (the stepwise search, profile-interval bisection, bootstrap
+// replication) can reuse them across fits instead of reallocating every
+// iteration. The zero value is ready; buffers grow on demand and are
+// retained. A Workspace is not safe for concurrent use — keep one per
+// goroutine.
+type Workspace struct {
+	xtwx, chol []float64 // p×p normal equations and Cholesky factor
+	xtr        []float64 // p-vector Xᵀ(y−μ) / solve scratch
+	delta      []float64 // Fisher step
+	coef, cand []float64 // current and trial coefficients
+
+	// Per-cell buffers, all 2^t long. The cand-suffixed buffers are filled
+	// by logLik for trial coefficients and swapped in wholesale when a
+	// trial is accepted, so the scoring loop never recomputes η, λ or the
+	// truncation-negligibility test.
+	eta, etaCand []float64 // linear predictor per lattice cell
+	lam, lamCand []float64 // per-cell rate exp(clamped η)
+	tn, tnCand   []bool    // per-cell: truncation negligible (or absent)
+	zw, zr       []float64 // zeta-transform buffers for weights and residuals
+
+	// One-entry cache of negligibleMax: the bits of the last limit l and
+	// its threshold λ*(l).
+	negKey uint64
+	negMax float64
+	negOK  bool
+}
+
+// reserve sizes every buffer for a p-column fit over an n-cell lattice.
+func (ws *Workspace) reserve(n, p int) {
+	grow := func(b []float64, want int) []float64 {
+		if cap(b) < want {
+			return make([]float64, want)
+		}
+		return b[:want]
+	}
+	growBool := func(b []bool, want int) []bool {
+		if cap(b) < want {
+			return make([]bool, want)
+		}
+		return b[:want]
+	}
+	ws.xtwx = grow(ws.xtwx, p*p)
+	ws.chol = grow(ws.chol, p*p)
+	ws.xtr = grow(ws.xtr, p)
+	ws.delta = grow(ws.delta, p)
+	ws.coef = grow(ws.coef, p)
+	ws.cand = grow(ws.cand, p)
+	ws.eta = grow(ws.eta, n)
+	ws.etaCand = grow(ws.etaCand, n)
+	ws.lam = grow(ws.lam, n)
+	ws.lamCand = grow(ws.lamCand, n)
+	ws.zw = grow(ws.zw, n)
+	ws.zr = grow(ws.zr, n)
+	ws.tn = growBool(ws.tn, n)
+	ws.tnCand = growBool(ws.tnCand, n)
+}
+
 // Lattice describes a Poisson GLM whose design is a pure subset indicator
 // over the 2^T capture-history lattice: column j of the design is
 // x[s][j] = 1 iff Masks[j] ⊆ s. The log-linear CR designs of §3.3 are all
@@ -18,12 +89,12 @@ import (
 //	(Xᵀr)[j]     = Σ_{s ⊇ Masks[j]} r_s            (one superset sum of r)
 //	η_s          = Σ_{m ⊆ s} c_m, c scattered β    (one subset sum)
 //
-// so each Fisher-scoring iteration costs O(T·2^T + p²) instead of the dense
-// kernel's O(p²·2^T). Rows are lattice cells: cell s holds the observation
-// with capture history s. Cell 0 (the unobserved history) is excluded
-// unless Cell0 is set — the profile-likelihood fit pins the unobserved
-// count by including exactly that cell, whose design row is the intercept
-// alone, i.e. lattice cell 0.
+// so each Fisher-scoring iteration costs O(T·2^T + p²) instead of the
+// O(p²·2^T) of accumulating a materialised design. Rows are lattice cells:
+// cell s holds the observation with capture history s. Cell 0 (the
+// unobserved history) is excluded unless Cell0 is set — the
+// profile-likelihood fit pins the unobserved count by including exactly
+// that cell, whose design row is the intercept alone, i.e. lattice cell 0.
 type Lattice struct {
 	T     int
 	Masks []int // one mask per design column, distinct; column 0 is the intercept (mask 0)
@@ -118,11 +189,12 @@ func LatticeEta(t int, masks []int, coef []float64, eta []float64) {
 // for plain Poisson), init optional warm-start coefficients in column
 // order, and ws reusable scratch (nil for a one-off fit).
 //
-// The returned GLMResult matches FitPoissonGLMFlat's contract except that
-// Fitted is indexed by lattice cell (length 2^T; entry 0 is the fitted
-// unobserved-cell rate whether or not Cell0 is set). Summation order
-// differs from the dense kernel, so coefficients agree to tolerance
-// (≤1e-9 relative, pinned by the differential tests), not bit-exactly.
+// Coef is in column order, LogLik is the full log-likelihood of the
+// active cells including the Σ ln y_s! constant, and Fitted is indexed by
+// lattice cell (length 2^T; entry 0 is the fitted unobserved-cell rate
+// whether or not Cell0 is set). The differential tests hold the result to
+// a dense row-major reference fit of the materialised design within 1e-9
+// relative; summation order differs, so the two do not agree bit-exactly.
 func (ld Lattice) Fit(y, limits, init []float64, ws *Workspace) (*GLMResult, error) {
 	if err := ld.check(y, limits); err != nil {
 		return nil, err
@@ -176,7 +248,6 @@ func (ld Lattice) fit(y, limits []float64, logFactSum float64, init []float64, w
 		ws = &Workspace{}
 	}
 	ws.reserve(n, p)
-	ws.reserveLattice(n)
 
 	first := 1 // first active cell
 	if ld.Cell0 {
@@ -269,7 +340,7 @@ func (ld Lattice) fit(y, limits []float64, logFactSum float64, init []float64, w
 			return nil, err
 		}
 		// Step halving: accept the longest step that does not reduce the
-		// log-likelihood (identical policy to the dense kernel).
+		// log-likelihood.
 		step := 1.0
 		var nextLL float64
 		improved := false
@@ -314,7 +385,6 @@ func (ld Lattice) fit(y, limits []float64, logFactSum float64, init []float64, w
 		fitted[s] = math.Exp(e)
 	}
 	telemetry.Active().FitDone(it+1, converged)
-	telemetry.Active().LatticeFit()
 	outCoef := make([]float64, p)
 	copy(outCoef, coef)
 	return &GLMResult{

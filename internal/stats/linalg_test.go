@@ -54,7 +54,7 @@ func TestSolveSPDMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := SolveSPD(a, b)
+	x2, err := solveSPD(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +63,8 @@ func TestSolveSPDMatchesSolve(t *testing.T) {
 	}
 }
 
-// Property: for random SPD systems built as A = MᵀM + I, Solve and SolveSPD
-// both recover x with A x = b.
+// Property: for random SPD systems built as A = MᵀM + I, Solve and the
+// Cholesky solver both recover x with A x = b.
 func TestSolveResidualProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := newTestRand(seed)
@@ -94,14 +94,17 @@ func TestSolveResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = r()
 		}
-		for _, solver := range []func([][]float64, []float64) ([]float64, error){Solve, SolveSPD} {
+		for _, solver := range []func([][]float64, []float64) ([]float64, error){Solve, solveSPD} {
 			x, err := solver(a, b)
 			if err != nil {
 				return false
 			}
-			res := MatVec(a, x)
-			for i := range res {
-				if math.Abs(res[i]-b[i]) > 1e-6 {
+			for i, row := range a {
+				res := 0.0
+				for j, v := range row {
+					res += v * x[j]
+				}
+				if math.Abs(res-b[i]) > 1e-6 {
 					return false
 				}
 			}
@@ -124,10 +127,16 @@ func newTestRand(seed int64) func() float64 {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := [][]float64{{1, 2}, {3, 4}}
-	got := MatVec(a, []float64{5, 6})
-	if got[0] != 17 || got[1] != 39 {
-		t.Fatalf("MatVec = %v", got)
+// solveSPD runs the kernel's flat Cholesky solver on a [][]float64 system.
+func solveSPD(a [][]float64, b []float64) ([]float64, error) {
+	n := len(a)
+	flat := make([]float64, 0, n*n)
+	for _, row := range a {
+		flat = append(flat, row...)
 	}
+	x := make([]float64, n)
+	if err := solveSPDFlat(flat, n, b, x, make([]float64, n*n)); err != nil {
+		return nil, err
+	}
+	return x, nil
 }

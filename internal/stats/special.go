@@ -190,45 +190,12 @@ func (tp TruncPoisson) logF(l float64) float64 {
 	return LogPoissonCDF(l, tp.Lambda)
 }
 
-// Mean returns E[X | X <= Limit] = λ F(l−1)/F(l).
-func (tp TruncPoisson) Mean() float64 {
-	if math.IsInf(tp.Limit, 1) || TruncationNegligible(tp.Limit, tp.Lambda) {
-		return tp.Lambda
-	}
-	if tp.Limit <= 0 {
-		return 0
-	}
-	return tp.Lambda * math.Exp(tp.logF(tp.Limit-1)-tp.logF(tp.Limit))
-}
-
-// Variance returns Var[X | X <= Limit] via
-// E[X(X−1)] = λ² F(l−2)/F(l).
-func (tp TruncPoisson) Variance() float64 {
-	if math.IsInf(tp.Limit, 1) || TruncationNegligible(tp.Limit, tp.Lambda) {
-		return tp.Lambda
-	}
-	if tp.Limit <= 0 {
-		return 0
-	}
-	mu := tp.Mean()
-	if tp.Limit < 2 {
-		// Support {0,1}: Bernoulli-like; E[X(X-1)] = 0.
-		return mu * (1 - mu)
-	}
-	exx1 := tp.Lambda * tp.Lambda * math.Exp(tp.logF(tp.Limit-2)-tp.logF(tp.Limit))
-	v := exx1 + mu - mu*mu
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
-// Moments returns the truncated mean and variance together with ln F(l; λ),
-// sharing a single incomplete-gamma evaluation: F(l−1) and F(l) are obtained
-// from F(l−2) by the CDF recurrence F(k) = F(k−1) + p(k; λ). Mean and
-// Variance call LogPoissonCDF once per bound (six evaluations per cell per
-// IRLS iteration); the lattice kernel calls Moments instead, paying one.
-// The recurrence agrees with the independent evaluations to ~1e-15 relative.
+// Moments returns the truncated mean E[X | X <= Limit] = λ F(l−1)/F(l),
+// the variance via E[X(X−1)] = λ² F(l−2)/F(l), and ln F(l; λ), from one
+// incomplete-gamma evaluation where evaluating each bound independently
+// takes six LogPoissonCDF calls: F(l−1) and F(l) follow from F(l−2) by the
+// CDF recurrence F(k) = F(k−1) + p(k; λ). The recurrence agrees with the
+// independent evaluations to ~1e-15 relative.
 func (tp TruncPoisson) Moments() (mean, variance, logF float64) {
 	if math.IsInf(tp.Limit, 1) || TruncationNegligible(tp.Limit, tp.Lambda) {
 		return tp.Lambda, tp.Lambda, 0

@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"context"
 	"testing"
 
 	"ghosts/internal/core"
@@ -84,7 +85,7 @@ func TestBootstrapIdenticalWithTelemetry(t *testing.T) {
 	}
 
 	telemetry.Disable()
-	off, err := core.BootstrapInterval(tb, fit, 5000, 200, 0.95, 42)
+	off, err := core.BootstrapIntervalCtx(context.Background(), tb, fit, 5000, 200, 0.95, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestBootstrapIdenticalWithTelemetry(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	telemetry.Enable(rec)
 	defer telemetry.Disable()
-	on, err := core.BootstrapInterval(tb, fit, 5000, 200, 0.95, 42)
+	on, err := core.BootstrapIntervalCtx(context.Background(), tb, fit, 5000, 200, 0.95, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,16 +24,29 @@ fi
 echo "== go test -race =="
 go test -race ./...
 
-echo "== lattice/dense differential (-race) =="
-# The lattice IRLS kernel must agree with the dense reference kernel to
-# tolerance on every design shape (DESIGN.md §8): the differential property
-# tests are the licence for routing all engine fits through the lattice
-# path, so they run as their own named gate, race-enabled and uncached.
-# The pinned sweep test holds the engine's output to committed float64 bits
+echo "== lattice kernel vs dense test oracle (-race) =="
+# The lattice IRLS kernel is the only production GLM. It must agree to
+# tolerance, on every design shape, with the dense row-major reference fit
+# that lives in internal/stats' tests (DESIGN.md §8): the differential
+# property tests are the licence for that, so they run as their own named
+# gate, race-enabled and uncached. The pinned sweep test holds the
+# engine's output to committed float64 bits
 # (internal/core/testdata/sweep_pinned.json), so kernel drift too small
-# for the tolerance checks still fails here.
+# for the tolerance checks still fails here. GoodnessOfFit, which reads
+# the design through its column masks, is held bit-identical to a dot
+# product over materialised design rows. The FuzzEstimateRequest seed
+# corpus drives the served path (Normalize → Compute → Encode) over
+# bodies that once overflowed, inverted the interval or reached the
+# single-source shape the kernel rejects.
 go test -race -count=1 -run 'TestLattice|TestMoments' ./internal/stats
 go test -race -count=1 -run 'TestEstimateSweepPinned' ./internal/core
+go test -race -count=1 -run 'TestGoodnessOfFitMatchesDesignRows' ./internal/core
+go test -race -count=1 -run 'FuzzEstimateRequest' ./internal/serve
+
+echo "== estimate request fuzz smoke =="
+# Ten seconds of coverage-guided fuzzing over raw request bodies: every
+# body must be a 400, a 422 or a finite 200 with lo ≤ estimate ≤ hi.
+go test -run '^$' -fuzz '^FuzzEstimateRequest$' -fuzztime 10s -parallel 2 ./internal/serve
 
 echo "== strata fold/Split differential (-race) =="
 # The labelled histogram fold must agree bit-for-bit with the dense
